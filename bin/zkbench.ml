@@ -18,7 +18,6 @@
                                          # aggregation tree, EVM gas
     zkbench fuzz --seeds 1..500 --jobs 4 --minimize --corpus corpus
                                          # differential fuzzing campaign
-    zkbench autotune npb-mg --iters 80   # GA pass-sequence search
     zkbench tune npb-sp --backend risc0 --iterations 1600 --jobs 8
                                          # full-budget parallel search with
                                          # prefix caching and --profile-out
@@ -147,6 +146,13 @@ let prog_arg =
 
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Use reduced (test) input sizes")
+
+(* shared by every resumable engine: see DESIGN.md, "Row logs" *)
+let fresh_arg =
+  Arg.(value & flag
+       & info [ "fresh" ]
+           ~doc:"Start an empty checkpoint, discarding any rows already in \
+                 it (default is to resume)")
 
 let level_arg =
   Arg.(value & opt (some string) None
@@ -348,11 +354,6 @@ let sweepall_cmd =
              ~doc:"Stream completed cells to an append-only checkpoint file; \
                    rerunning with the same file resumes the sweep")
   in
-  let fresh_arg =
-    Arg.(value & flag
-         & info [ "fresh" ]
-             ~doc:"Ignore an existing checkpoint (default is to resume)")
-  in
   let budget_arg =
     Arg.(value & opt int 32
          & info [ "failure-budget" ] ~docv:"N"
@@ -531,11 +532,6 @@ let settle_cmd =
              ~doc:"Stream completed rows to an append-only checkpoint \
                    file; rerunning with the same file resumes the sweep")
   in
-  let fresh_arg =
-    Arg.(value & flag
-         & info [ "fresh" ]
-             ~doc:"Discard an existing checkpoint (default is to resume)")
-  in
   let cache_dir_arg =
     Arg.(value & opt (some string) (Some "_zkcache")
          & info [ "cache-dir" ] ~docv:"DIR"
@@ -691,11 +687,6 @@ let fuzz_cmd =
     Arg.(value & flag
          & info [ "no-checkpoint" ] ~doc:"Run without a checkpoint file")
   in
-  let fresh_arg =
-    Arg.(value & flag
-         & info [ "fresh" ]
-             ~doc:"Ignore an existing checkpoint (default is to resume)")
-  in
   let budget_arg =
     Arg.(value & opt (some int) None
          & info [ "failure-budget" ] ~docv:"N"
@@ -809,41 +800,6 @@ let fuzz_cmd =
           $ fresh_arg $ budget_arg $ limit_arg $ minimize_arg $ corpus_arg
           $ verbose_arg)
 
-let autotune_cmd =
-  let iters_arg =
-    Arg.(value & opt int 80 & info [ "iters" ] ~doc:"GA evaluations")
-  in
-  let vm_arg =
-    Arg.(value & opt string "risc0"
-         & info [ "vm" ] ~doc:"Backend to tune for (see `zkbench backends`)")
-  in
-  let run prog quick iters vm =
-    let w = find_workload prog in
-    let build () = w.Zkopt_workloads.Workload.build (size_of_quick quick) in
-    let b = resolve_backend vm in
-    let ga =
-      Zkopt_autotune.Autotune.run ~iterations:iters
-        ~cycles:(Zkopt_autotune.Autotune.backend_cycles ~build b)
-        ()
-    in
-    let best = ga.Zkopt_autotune.Autotune.best in
-    Printf.printf "best (%d cycles): %s\n" best.Zkopt_autotune.Autotune.fitness
-      (String.concat " -> " best.Zkopt_autotune.Autotune.genome);
-    let o3 =
-      Measure.prepare_ir ~build (Profile.Level Zkopt_passes.Catalog.O3)
-    in
-    let c = b.Backend.compile o3 in
-    let o3m = (c.Backend.measure ~vm:b.Backend.name ()).Backend.zk in
-    Printf.printf "-O3 reference: %d cycles (tuned is %+.1f%%)\n"
-      o3m.Measure.cycles
-      ((1.0
-       -. float_of_int best.Zkopt_autotune.Autotune.fitness
-          /. float_of_int o3m.Measure.cycles)
-      *. 100.0)
-  in
-  Cmd.v (Cmd.info "autotune" ~doc:"Genetic pass-sequence search for a program")
-    Term.(const run $ prog_arg $ quick_arg $ iters_arg $ vm_arg)
-
 let tune_cmd =
   let module A = Zkopt_autotune.Autotune in
   let module Tuned = Zkopt_autotune.Tuned in
@@ -876,11 +832,6 @@ let tune_cmd =
          & info [ "checkpoint" ] ~docv:"FILE"
              ~doc:"Append per-generation rows to FILE; rerunning with the \
                    same file resumes the search")
-  in
-  let fresh_arg =
-    Arg.(value & flag
-         & info [ "fresh" ]
-             ~doc:"Ignore an existing checkpoint (default is to resume)")
   in
   let profile_out_arg =
     Arg.(value & opt (some string) None
@@ -1437,6 +1388,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; passes_cmd; backends_cmd; run_cmd; profile_cmd;
-            sweep_cmd; sweepall_cmd; settle_cmd; fuzz_cmd; autotune_cmd;
+            sweep_cmd; sweepall_cmd; settle_cmd; fuzz_cmd;
             tune_cmd; asm_cmd; serve_cmd; submit_cmd; status_cmd;
             shutdown_cmd; bench_cmd ]))

@@ -5,22 +5,21 @@
     Run with: dune exec examples/autotune_demo.exe *)
 
 open Zkopt_core
+module A = Zkopt_autotune.Autotune
 
 let () =
   Zkopt_workloads.Suite.check_composition ();
   let w = Zkopt_workloads.Workload.find "npb-mg" in
   let build () = w.Zkopt_workloads.Workload.build Zkopt_workloads.Workload.Full in
   print_endline "autotuning npb-mg for RISC Zero (60 evaluations)...\n";
-  let ga =
-    Zkopt_autotune.Autotune.run ~seed:42 ~iterations:60
-      ~cycles:
-        (Zkopt_autotune.Autotune.zkvm_cycles ~build Zkopt_zkvm.Config.risc0)
-      ()
+  let target =
+    A.backend_target ~program:"npb-mg" ~build
+      (Zkopt_backend.Registry.find "risc0")
   in
-  let best = ga.Zkopt_autotune.Autotune.best in
-  Printf.printf "best sequence (%d cycles):\n  %s\n\n"
-    best.Zkopt_autotune.Autotune.fitness
-    (String.concat " -> " best.Zkopt_autotune.Autotune.genome);
+  let o = A.search (A.default ~seed:42 ~iterations:60 ()) ~targets:[ target ] in
+  let best = (Option.get o.A.result).A.best in
+  Printf.printf "best sequence (%d cycles):\n  %s\n\n" best.A.fitness
+    (String.concat " -> " best.A.genome);
   let measure profile =
     let c = Measure.prepare ~build profile in
     Measure.run_zkvm Zkopt_zkvm.Config.risc0 c

@@ -31,7 +31,8 @@
       measuring ([prune] — a heuristic: a suffix could still help, so
       pruning trades a little search fidelity for a lot of budget).
     - {b Kill-safe checkpointing.}  Each generation appends one row per
-      child plus a generation summary row; {!search} with
+      child plus a generation summary row to a {!Zkopt_exec.Rowlog}
+      (framing in DESIGN.md, "Row logs"); {!search} with
       [resume = true] replays completed generations from the row log
       (consuming the identical RNG stream) and resumes live evaluation
       at the first incomplete generation, so an interrupted run
@@ -41,6 +42,7 @@ open Zkopt_passes
 module Pool = Zkopt_exec.Pool
 module Cache = Zkopt_exec.Cache
 module Fingerprint = Zkopt_exec.Fingerprint
+module Rowlog = Zkopt_exec.Rowlog
 module Error = Zkopt_harness.Error
 module Backend = Zkopt_backend.Backend
 module Modul = Zkopt_ir.Modul
@@ -134,34 +136,9 @@ let expected_failure (e : exn) : bool =
     | Error.Miscompile _ | Error.Accounting_violation _ | Error.Uncaught _ ->
       false)
 
-(** Guarded fitness: expected failures score worst, toolchain bugs
-    propagate (see {!expected_failure}). *)
-let evaluate ~(cycles : genome -> int) (g : genome) : int =
-  try cycles g with e when expected_failure e -> max_int
-
 (* ------------------------------------------------------------------ *)
-(* Objective closures                                                  *)
+(* Objective targets                                                   *)
 (* ------------------------------------------------------------------ *)
-
-(** Fitness closure for the classic path: zkVM cycle count under [vm]
-    after applying the genome with the standard cost model. *)
-let zkvm_cycles ?fuel ~(build : unit -> Modul.t)
-    (vm : Zkopt_zkvm.Config.t) (g : genome) : int =
-  let profile = Zkopt_core.Profile.Custom (g, Pass.standard_config) in
-  let c = Zkopt_core.Measure.prepare ~build profile in
-  let m = Zkopt_core.Measure.run_zkvm ?fuel vm c in
-  m.Zkopt_core.Measure.cycles
-
-(** Fitness closure over an arbitrary registered backend: trace
-    rows/cycles of the backend's own cost model, so the GA can tune for
-    a zk-native ISA exactly as it tunes for the RV32 pair. *)
-let backend_cycles ?fuel ~(build : unit -> Modul.t)
-    (b : Backend.t) (g : genome) : int =
-  let profile = Zkopt_core.Profile.Custom (g, Pass.standard_config) in
-  let m = Zkopt_core.Measure.prepare_ir ~build profile in
-  let c = b.Backend.compile m in
-  let r = c.Backend.measure ~vm:b.Backend.name ?fuel () in
-  r.Backend.zk.Zkopt_core.Measure.cycles
 
 (** One measurement axis of the objective.  [tname] identifies the axis
     in score records and checkpoint rows; [pname] salts the prefix cache
@@ -505,25 +482,17 @@ let load_checkpoint (path : string) :
     =
   let greplay = Hashtbl.create 16 in
   let areplay = Hashtbl.create 64 in
-  (if Sys.file_exists path then
-     try
-       let ic = open_in_bin path in
-       Fun.protect
-         ~finally:(fun () -> close_in_noerr ic)
-         (fun () ->
-           try
-             while true do
-               let line = input_line ic in
-               match parse_child_row line with
-               | Some (gen, idx, kind, fitness, genome, scores) ->
-                 Hashtbl.replace areplay (gen, idx) (kind, fitness, genome, scores)
-               | None -> (
-                 match parse_generation_row line with
-                 | Some gen -> Hashtbl.replace greplay gen ()
-                 | None -> ())
-             done
-           with End_of_file -> ())
-     with Sys_error _ -> ());
+  List.iter
+    (function
+      | `A (gen, idx, kind, fitness, genome, scores) ->
+        Hashtbl.replace areplay (gen, idx) (kind, fitness, genome, scores)
+      | `G gen -> Hashtbl.replace greplay gen ())
+    (Rowlog.load
+       (fun line ->
+         match parse_child_row line with
+         | Some a -> Some (`A a)
+         | None -> Option.map (fun g -> `G g) (parse_generation_row line))
+       path);
   (greplay, areplay)
 
 (* ------------------------------------------------------------------ *)
@@ -542,10 +511,11 @@ type loop_outcome = {
 
 (** The deterministic coordinator: breeds each generation from the RNG
     stream (consumed only here), hands the batch to [eval_batch], and
-    merges verdicts in index order.  With a [checkpoint] path, rows are
-    appended per generation; with [resume], generations already
-    completed in the log are replayed (same RNG stream, recorded
-    verdicts, no evaluation) before live search resumes. *)
+    merges verdicts in index order.  With a [checkpoint] path, every
+    live row is appended to the log before it reaches [on_row]; with
+    [resume], generations already completed in the log are replayed
+    (same RNG stream, recorded verdicts, no evaluation) before live
+    search resumes, and without it the log starts empty. *)
 let genloop ~seed ~population ~iterations ~(stop : unit -> bool)
     ~(checkpoint : string option) ~(resume : bool)
     ~(on_row : (string -> unit) option)
@@ -558,42 +528,10 @@ let genloop ~seed ~population ~iterations ~(stop : unit -> bool)
     | Some path when resume -> load_checkpoint path
     | _ -> (Hashtbl.create 1, Hashtbl.create 1)
   in
-  (* the row log is opened lazily at the first live row, so a fully
-     replayed prefix never reopens (or truncates) the file *)
-  let out = ref None in
-  let out_channel path =
-    match !out with
-    | Some oc -> oc
-    | None ->
-      let torn =
-        resume && Sys.file_exists path
-        && (let ic = open_in_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () ->
-                let n = in_channel_length ic in
-                n > 0
-                && (seek_in ic (n - 1);
-                    input_char ic <> '\n')))
-      in
-      let oc =
-        open_out_gen
-          [ Open_wronly; Open_creat;
-            (if resume then Open_append else Open_trunc) ]
-          0o644 path
-      in
-      if torn then output_char oc '\n';  (* seal a torn tail *)
-      out := Some oc;
-      oc
-  in
+  let log = Option.map (Rowlog.create ~fresh:(not resume)) checkpoint in
   let emit ~live row =
-    (match checkpoint with
-    | Some path when live ->
-      let oc = out_channel path in
-      output_string oc row;
-      output_char oc '\n'
-    | _ -> ());
-    match on_row with Some f -> f row | None -> ()
+    if live then Option.iter (fun l -> Rowlog.append l row) log;
+    Option.iter (fun f -> f row) on_row
   in
   let ind_cmp a b = compare (a.fitness, a.genome) (b.fitness, b.genome) in
   let take n l = List.filteri (fun i _ -> i < n) l in
@@ -606,7 +544,8 @@ let genloop ~seed ~population ~iterations ~(stop : unit -> bool)
   let dedup = ref 0 and pruned = ref 0 and measured = ref 0 and failed = ref 0 in
   let completed = ref true in
   let replay_active = ref true in
-  (try
+  (Fun.protect ~finally:(fun () -> Option.iter Rowlog.close log) @@ fun () ->
+   try
      while !evals < iterations do
        if stop () then begin
          completed := false;
@@ -693,11 +632,9 @@ let genloop ~seed ~population ~iterations ~(stop : unit -> bool)
        let best = (List.hd !pop).fitness in
        history := best :: !history;
        emit ~live:(not can_replay) (row_of_generation ~gen:!gen ~evals:!evals ~best);
-       (match !out with Some oc -> flush oc | None -> ());
        incr gen
      done
    with Exit -> ());
-  (match !out with Some oc -> close_out_noerr oc | None -> ());
   let lresult =
     match !everyone with
     | [] -> None
@@ -846,43 +783,6 @@ let search (cfg : config) ~(targets : target list) : outcome =
     completed = lo.lcompleted;
     resumed = lo.lreplayed;
   }
-
-(** Run the GA over a raw fitness closure — build one with
-    {!zkvm_cycles} or {!backend_cycles}, or pass any [genome -> int].
-    [iterations] counts genome evaluations (the paper uses 160 for the
-    broad sweep and 1600 for the NPB/crypto deep dives).  This is the
-    blind path: no prefix cache, dedup, or pruning — the closure is
-    opaque — but evaluation still batches over [jobs] domains (or a
-    caller-supplied [pool]) with the same any-[jobs] determinism as
-    {!search}. *)
-let run ?(seed = 1) ?(population = 16) ?(iterations = 160) ?(jobs = 1) ?pool
-    ~(cycles : genome -> int) () : result =
-  let eval_one g =
-    let f = evaluate ~cycles g in
-    { vkind = (if f = max_int then 'f' else 'm'); vfitness = f; vscores = [] }
-  in
-  let owned, p =
-    match pool with
-    | Some p -> (None, Some p)
-    | None ->
-      if jobs <= 1 then (None, None)
-      else
-        let p = Pool.create ~jobs in
-        (Some p, Some p)
-  in
-  let lo =
-    Fun.protect
-      ~finally:(fun () ->
-        match owned with Some p -> Pool.shutdown p | None -> ())
-      (fun () ->
-        genloop ~seed ~population ~iterations
-          ~stop:(fun () -> false)
-          ~checkpoint:None ~resume:false ~on_row:None
-          ~eval_batch:(fun ~threshold:_ genomes -> batch_over p eval_one genomes)
-          ~record:(fun _ -> ()))
-  in
-  (* iterations is clamped >= 1, so at least one generation ran *)
-  Option.get lo.lresult
 
 (* ------------------------------------------------------------------ *)
 (* Subsequence mining (RQ2's best/worst sequence analysis)             *)

@@ -18,18 +18,19 @@
     run.  Cases skipped by the budget write no checkpoint row, so a
     later resume picks them up.
 
-    {b Checkpoint.}  One row per completed case, whole-line writes under
-    a mutex, flushed per line, with a terminal ["."] field so a row
-    truncated by a kill mid-write fails decoding instead of silently
-    decoding short.  Row identity is (source, pipeline spec); rows are
-    deterministic functions of the case, so kill+resume reproduces the
-    uninterrupted run's rows byte-for-byte (modulo arrival order — sort
-    to compare). *)
+    {b Checkpoint.}  One row per completed case in a
+    {!Zkopt_exec.Rowlog} (framing in DESIGN.md, "Row logs"), with a
+    terminal ["."] field so a row truncated by a kill mid-write fails
+    decoding instead of silently decoding short.  Row identity is
+    (source, pipeline spec); rows are deterministic functions of the
+    case, so kill+resume reproduces the uninterrupted run's rows
+    byte-for-byte (modulo arrival order — sort to compare). *)
 
 module Error = Zkopt_harness.Error
 module Faultplan = Zkopt_harness.Faultplan
 module Backend = Zkopt_backend.Backend
 module Pool = Zkopt_exec.Pool
+module Rowlog = Zkopt_exec.Rowlog
 
 (* ---- checkpoint / streaming rows ------------------------------------- *)
 
@@ -54,7 +55,9 @@ type config = {
   backends : Backend.t list;
   jobs : int;
   checkpoint : string option;
-  resume : bool;  (** load [checkpoint] and skip already-done cases *)
+  resume : bool;
+      (** load [checkpoint] and skip already-done cases; [false] starts
+          an empty checkpoint *)
   failure_budget : int option;
   minimize : bool;
   corpus : string option;  (** persist minimized findings under this dir *)
@@ -70,8 +73,9 @@ type config = {
   on_row : (row -> unit) option;
       (** streaming hook, called once per completed-case row — rows
           resumed from the checkpoint first, then rows produced by this
-          run in completion order.  Called from worker domains
-          concurrently; the callback must be thread-safe. *)
+          run in completion order, each only once its checkpoint row
+          is on disk.  Called from worker domains concurrently; the
+          callback must be thread-safe. *)
   stop : unit -> bool;
       (** cooperative cancellation, polled before each case: once it
           returns [true], remaining cases are skipped (no row), so a
@@ -175,61 +179,8 @@ let decode_row (line : string) : row option =
     Some { src; spec; status; detail }
   | _ -> None
 
-(** Every decodable row in [path]; missing file = none.  Header lines,
-    garbage, and kill-truncated rows are skipped, not fatal. *)
-let load_rows (path : string) : row list =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let rows = ref [] in
-    (try
-       while true do
-         match decode_row (input_line ic) with
-         | Some r -> rows := r :: !rows
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !rows
-  end
-
-type writer = { oc : out_channel; mu : Mutex.t }
-
-let open_writer (path : string) : writer =
-  let existed = Sys.file_exists path in
-  (* heal a tail sheared by a kill mid-write: appends must start on a
-     fresh line, or the first new row would fuse with the partial one
-     and both would fail decoding *)
-  if existed then begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let sheared =
-      n > 0
-      && begin
-           seek_in ic (n - 1);
-           input_char ic <> '\n'
-         end
-    in
-    close_in ic;
-    if sheared then begin
-      let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 path in
-      output_char oc '\n';
-      close_out oc
-    end
-  end;
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  if not existed then begin
-    output_string oc (ckpt_version ^ "\n");
-    flush oc
-  end;
-  { oc; mu = Mutex.create () }
-
-let write_row (w : writer) (r : row) =
-  Mutex.lock w.mu;
-  output_string w.oc (encode_row r);
-  output_char w.oc '\n';
-  flush w.oc;
-  Mutex.unlock w.mu
+(** Every decodable row in [path]; missing file = none. *)
+let load_rows (path : string) : row list = Rowlog.load decode_row path
 
 (* ---- running --------------------------------------------------------- *)
 
@@ -346,7 +297,11 @@ let run (cfg : config) : summary =
           Option.iter f (Hashtbl.find_opt done_rows (case_key c)))
         resumed)
     cfg.on_row;
-  let writer = Option.map open_writer cfg.checkpoint in
+  let writer =
+    Option.map
+      (Rowlog.create ~header:ckpt_version ~fresh:(not cfg.resume))
+      cfg.checkpoint
+  in
   let mu = Mutex.create () in
   let found = ref 0 in
   let agreed = ref 0 in
@@ -404,7 +359,7 @@ let run (cfg : config) : summary =
              | None -> "")));
       Mutex.unlock mu;
       let row = row_of_verdict c verdict in
-      Option.iter (fun w -> write_row w row) writer;
+      Option.iter (fun w -> Rowlog.append w (encode_row row)) writer;
       Option.iter (fun f -> f row) cfg.on_row
     end
   in
@@ -418,12 +373,8 @@ let run (cfg : config) : summary =
     Pool.wait pool;
     if owned_pool then Pool.shutdown pool
   in
-  (match finish () with
-  | () -> ()
-  | exception e ->
-    Option.iter (fun w -> close_out w.oc) writer;
-    raise e);
-  Option.iter (fun w -> close_out w.oc) writer;
+  Fun.protect finish ~finally:(fun () ->
+      Option.iter Rowlog.close writer);
   let findings =
     List.filter_map (fun c -> Hashtbl.find_opt results (case_key c)) cases
   in

@@ -1,12 +1,10 @@
-(** Append-only checkpoint file for the sweep.
+(** The sweep's checkpoint row codec.
 
-    Completed points stream to disk one line each; a resumed sweep loads
-    the file, skips already-done cells, and appends the rest.  The codec
-    is an exact round trip — floats are written in hexadecimal ([%h])
-    notation — so a killed-and-resumed sweep reproduces the uninterrupted
-    run byte for byte.  Undecodable lines (e.g. a final line truncated by
-    a kill mid-write) are skipped on load, which makes resume safe after
-    a crash at any byte offset.
+    One row per completed point.  The codec is an exact round trip —
+    floats are written in hexadecimal ([%h]) notation — so a
+    killed-and-resumed sweep reproduces the uninterrupted run byte for
+    byte.  The file framing (header, torn tails, flushing, [fresh]) is
+    {!Zkopt_exec.Rowlog}'s; see DESIGN.md, "Row logs".
 
     v2 rows carry a backend count followed by that many metric groups
     (a point measures an arbitrary backend list, not a fixed pair).
@@ -127,138 +125,20 @@ let decode_point (line : string) : Cell.point option =
     with _ -> None)
   | _ -> None
 
-(** Load every decodable point from [path]; missing file = no points.
-    Corrupt or truncated lines are skipped, not fatal. *)
-let load (path : string) : Cell.point list =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let points = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         match decode_point line with
-         | Some p -> points := p :: !points
-         | None -> () (* header, garbage, or a line truncated by a kill *)
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !points
-  end
+(* ---- the checkpoint writer ------------------------------------------- *)
 
-type writer = {
-  oc : out_channel;
-  every : int;  (** flush to disk every [every] appended points *)
-  mutable pending : int;
-}
+(** A checkpoint file is a {!Zkopt_exec.Rowlog} of encoded points
+    headed by {!version}.  Despite the [async] names, which callers
+    outside [lib] (perfbench/) still use, appends are synchronous: each
+    is a whole, flushed line by the time it returns, and worker domains
+    may append concurrently.  [fresh] starts an empty log instead of
+    appending to an existing one. *)
+type async = Zkopt_exec.Rowlog.t
 
-(* A kill can shear the final line.  [load] already skips the torn
-   fragment, but appending straight after it would concatenate the next
-   record onto the garbage and lose that row too — so seal a torn tail
-   with a newline before the first append, turning the fragment into
-   its own (skipped) line and letting resume converge byte-wise. *)
-let seal_torn_tail (path : string) =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let sheared =
-    n > 0
-    && begin
-         seek_in ic (n - 1);
-         input_char ic <> '\n'
-       end
-  in
-  close_in ic;
-  if sheared then begin
-    let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 path in
-    output_char oc '\n';
-    close_out oc
-  end
-
-let create ?(every = 25) (path : string) : writer =
-  let existed = Sys.file_exists path in
-  if existed then seal_torn_tail path;
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  if not existed then begin
-    output_string oc (version ^ "\n");
-    flush oc
-  end;
-  { oc; every; pending = 0 }
-
-let append (w : writer) (p : Cell.point) =
-  output_string w.oc (encode_point p);
-  output_char w.oc '\n';
-  w.pending <- w.pending + 1;
-  if w.pending >= w.every then begin
-    flush w.oc;
-    w.pending <- 0
-  end
-
-let close (w : writer) =
-  flush w.oc;
-  close_out w.oc
-
-(* ---- single-writer domain -------------------------------------------- *)
-
-(** Serialized checkpoint writer for the parallel sweep.
-
-    Worker domains may complete cells concurrently, but the checkpoint
-    file must stay an append-only sequence of whole lines — interleaved
-    writes from two domains could shear a row.  All appends therefore
-    flow through one dedicated writer domain that drains a queue and
-    owns the [out_channel] exclusively; each queued point becomes one
-    atomic line, so the log is byte-deterministic modulo row order.
-    [async_close] drains the queue before closing, so every point
-    appended before the close reaches disk. *)
-type async_state = {
-  q : Cell.point Queue.t;
-  mu : Mutex.t;
-  cond : Condition.t;  (** new work or close requested *)
-  mutable closing : bool;
-}
-
-type async = { st : async_state; dom : unit Domain.t }
-
-let async ?every (path : string) : async =
-  let st =
-    {
-      q = Queue.create ();
-      mu = Mutex.create ();
-      cond = Condition.create ();
-      closing = false;
-    }
-  in
-  let dom =
-    Domain.spawn (fun () ->
-        let w = create ?every path in
-        let rec loop () =
-          Mutex.lock st.mu;
-          while Queue.is_empty st.q && not st.closing do
-            Condition.wait st.cond st.mu
-          done;
-          let batch = List.rev (Queue.fold (fun acc p -> p :: acc) [] st.q) in
-          Queue.clear st.q;
-          let stop = st.closing in
-          Mutex.unlock st.mu;
-          List.iter (append w) batch;
-          if stop then close w else loop ()
-        in
-        loop ())
-  in
-  { st; dom }
+let async ?(fresh = false) (path : string) : async =
+  Zkopt_exec.Rowlog.create ~header:version ~fresh path
 
 let async_append (a : async) (p : Cell.point) =
-  let st = a.st in
-  Mutex.lock st.mu;
-  Queue.push p st.q;
-  Condition.signal st.cond;
-  Mutex.unlock st.mu
+  Zkopt_exec.Rowlog.append a (encode_point p)
 
-(** Drain outstanding appends, close the file, and join the writer
-    domain.  Call at most once. *)
-let async_close (a : async) =
-  let st = a.st in
-  Mutex.lock st.mu;
-  st.closing <- true;
-  Condition.signal st.cond;
-  Mutex.unlock st.mu;
-  Domain.join a.dom
+let async_close : async -> unit = Zkopt_exec.Rowlog.close

@@ -29,11 +29,11 @@
       profile-vs-baseline across cells) and each backend's own
       accounting conservation oracle
       ({!Zkopt_backend.Backend.measurement});
-    - completed points stream to an append-only checkpoint file through
-      a single dedicated writer domain — rows are whole lines in
-      completion order, so the log is byte-deterministic modulo row
-      order — and a resumed run skips already-done cells
-      ({!Checkpoint});
+    - completed points stream to an append-only checkpoint file —
+      rows are whole lines in completion order, so the log is
+      byte-deterministic modulo row order — and a resumed run skips
+      already-done cells ({!Checkpoint}; framing in DESIGN.md,
+      "Row logs");
     - a per-sweep failure budget bounds degradation: exceed it and the
       sweep aborts with a summary ({!Budget_exceeded});
     - graceful degradation: a CPU-model failure downgrades the cell to
@@ -53,8 +53,9 @@ type config = {
   failure_budget : int;
       (** quarantined cells tolerated before the sweep aborts *)
   checkpoint : string option;  (** append-only checkpoint file *)
-  resume : bool;  (** load already-done cells from [checkpoint] *)
-  checkpoint_every : int;  (** flush cadence, in cells *)
+  resume : bool;
+      (** load already-done cells from [checkpoint]; [false] starts an
+          empty checkpoint *)
   retry : Retry.policy;
   faultplan : Faultplan.t;  (** injected faults (testing) *)
   progress : bool;
@@ -77,8 +78,9 @@ type config = {
   on_point : (Cell.point -> unit) option;
       (** streaming hook, called once per accepted point — both points
           resumed from the checkpoint (before any cell runs) and points
-          measured by this run, in completion order.  Called from worker
-          domains concurrently; the callback must be thread-safe. *)
+          measured by this run, in completion order, each only once its
+          checkpoint row is on disk.  Called from worker domains
+          concurrently; the callback must be thread-safe. *)
   stop : unit -> bool;
       (** cooperative cancellation, polled before each cell: once it
           returns [true], remaining cells are skipped (no point, no
@@ -94,7 +96,6 @@ let default ~size =
     failure_budget = 32;
     checkpoint = None;
     resume = true;
-    checkpoint_every = 25;
     retry = Retry.default;
     faultplan = Faultplan.none;
     progress = false;
@@ -279,7 +280,7 @@ let run (cfg : config) : outcome =
         (* resumed points stream too, so a subscriber that attaches
            after a restart still sees the full row sequence *)
         Option.iter (fun f -> f p) cfg.on_point)
-      (Checkpoint.load path)
+      (Zkopt_exec.Rowlog.load Checkpoint.decode_point path)
   | _ -> ());
   (* Pending cells in the canonical (program-major, profile-minor)
      order.  [limit] slices a deterministic prefix of this order, so a
@@ -305,7 +306,7 @@ let run (cfg : config) : outcome =
   in
   let stats0 = Cache.stats cache in
   let writer =
-    Option.map (Checkpoint.async ~every:cfg.checkpoint_every) cfg.checkpoint
+    Option.map (Checkpoint.async ~fresh:(not cfg.resume)) cfg.checkpoint
   in
   (* Shared mutable sweep state; [mu] guards all of it plus [points]. *)
   let mu = Mutex.create () in

@@ -9,11 +9,10 @@
     every earlier cell has emitted, so the stream (and the checkpoint
     built from it) is byte-identical at any [jobs] count.
 
-    The checkpoint is append-only with the standard torn-tail rules: a
-    row is complete iff it decodes ({!Settle.report_of_row}'s terminal
-    ["."] field), a resumed run replays complete rows and re-runs
-    everything after the first gap, and an unterminated final line is
-    sealed with a newline before appending. *)
+    The checkpoint is a {!Zkopt_exec.Rowlog} (framing in DESIGN.md,
+    "Row logs"): a row is complete iff it decodes
+    ({!Settle.report_of_row}'s terminal ["."] field), and a resumed run
+    replays complete cells and re-prices the rest. *)
 
 module Backend = Zkopt_backend.Backend
 module Measure = Zkopt_core.Measure
@@ -21,6 +20,7 @@ module Profile = Zkopt_core.Profile
 module Pool = Zkopt_exec.Pool
 module Cache = Zkopt_exec.Cache
 module Fingerprint = Zkopt_exec.Fingerprint
+module Rowlog = Zkopt_exec.Rowlog
 
 type config = {
   programs : (string * (unit -> Zkopt_ir.Modul.t)) list;
@@ -34,7 +34,8 @@ type config = {
   weights : Settle.weights;
   fuel : int option;
   checkpoint : string option;
-  on_row : (string -> unit) option;  (** live rows only, in order *)
+  on_row : (string -> unit) option;
+      (** live rows only, in order, each once it is in the checkpoint *)
   stop : unit -> bool;  (** polled per cell; [true] drains the sweep *)
 }
 
@@ -66,39 +67,16 @@ type outcome = {
 (* Complete rows keyed by (program, profile, backend). *)
 let load_checkpoint (path : string) : (string * string * string, string) Hashtbl.t =
   let t = Hashtbl.create 64 in
-  (if Sys.file_exists path then
-     try
-       let ic = open_in_bin path in
-       Fun.protect
-         ~finally:(fun () -> close_in_noerr ic)
-         (fun () ->
-           try
-             while true do
-               let line = input_line ic in
-               match Settle.report_of_row line with
-               | Some (program, profile, r) ->
-                 Hashtbl.replace t (program, profile, r.Settle.backend) line
-               | None -> ()
-             done
-           with End_of_file -> ())
-     with Sys_error _ -> ());
-  t
-
-let open_append (path : string) : out_channel =
-  let torn =
-    Sys.file_exists path
-    && (let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let n = in_channel_length ic in
-            n > 0
-            && (seek_in ic (n - 1);
-                input_char ic <> '\n')))
+  let decode line =
+    Option.map
+      (fun (program, profile, r) ->
+        ((program, profile, r.Settle.backend), line))
+      (Settle.report_of_row line)
   in
-  let oc = open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path in
-  if torn then output_char oc '\n';
-  oc
+  List.iter
+    (fun (key, line) -> Hashtbl.replace t key line)
+    (Rowlog.load decode path);
+  t
 
 (* ---- one cell -------------------------------------------------------- *)
 
@@ -168,11 +146,7 @@ let run (cfg : config) : outcome =
     in
     if List.length rows = List.length cfg.backends then Some rows else None
   in
-  let out =
-    match cfg.checkpoint with
-    | Some path -> Some (open_append path)
-    | None -> None
-  in
+  let out = Option.map (Rowlog.create ~fresh:false) cfg.checkpoint in
   let slots = Array.make (max 1 (List.length cells)) Pending in
   let mu = Mutex.create () in
   let watermark = ref 0 in
@@ -193,13 +167,8 @@ let run (cfg : config) : outcome =
           (fun row ->
             ordered := row :: !ordered;
             if fresh then begin
-              (match out with
-              | Some oc ->
-                output_string oc row;
-                output_char oc '\n';
-                flush oc
-              | None -> ());
-              match cfg.on_row with Some f -> f row | None -> ()
+              Option.iter (fun log -> Rowlog.append log row) out;
+              Option.iter (fun f -> f row) cfg.on_row
             end)
           rows;
         incr watermark
@@ -236,7 +205,7 @@ let run (cfg : config) : outcome =
   Fun.protect
     ~finally:(fun () ->
       (match owned with Some p -> Pool.shutdown p | None -> ());
-      match out with Some oc -> close_out_noerr oc | None -> ())
+      Option.iter Rowlog.close out)
     (fun () ->
       match pool with
       | None -> List.iteri (fun i c -> task i c ()) cells

@@ -34,14 +34,28 @@ let qcheck_operators_well_formed =
       && well_formed (A.mutate rng a)
       && well_formed (A.crossover rng a b))
 
-(* ---- evaluate: failure taxonomy --------------------------------------- *)
+(* ---- eval_child: failure taxonomy ------------------------------------ *)
+
+let factorial_build () =
+  (Workload.find "factorial").Workload.build Workload.Quick
+
+(* Score the genome [dce] on factorial against one target whose
+   measurement is [measure]. *)
+let eval_with (measure : fp:string -> Zkopt_ir.Modul.t -> int) : A.verdict =
+  let t =
+    { A.tname = "probe"; pname = "factorial"; weight = 1.0;
+      build = factorial_build; measure }
+  in
+  A.eval_child ~pcache:(Zkopt_exec.Cache.create ()) ~scores:(Hashtbl.create 1)
+    ~prune:false ~threshold:None ~targets:[ t ] [ "dce" ]
 
 let test_evaluate_classifies_failures () =
   (* expected measurement failures score worst instead of raising *)
   List.iter
     (fun (label, (e : exn)) ->
-      Alcotest.(check int) label max_int
-        (A.evaluate ~cycles:(fun _ -> raise e) [ "dce" ]))
+      let v = eval_with (fun ~fp:_ _ -> raise e) in
+      Alcotest.(check int) label max_int v.A.vfitness;
+      Alcotest.(check char) (label ^ " (failed verdict)") 'f' v.A.vkind)
     [
       ("fuel exhaustion scores max_int", Zkopt_ir.Interp.Out_of_fuel);
       ("ill-formed IR scores max_int", Zkopt_ir.Verify.Ill_formed "bad phi");
@@ -49,7 +63,7 @@ let test_evaluate_classifies_failures () =
     ];
   (* harness bugs and oracle violations must propagate *)
   let propagates label (e : exn) matches =
-    match A.evaluate ~cycles:(fun _ -> raise e) [ "dce" ] with
+    match eval_with (fun ~fp:_ _ -> raise e) with
     | _ -> Alcotest.failf "%s: exception was swallowed" label
     | exception e' ->
       Alcotest.(check bool) label true (matches e')
@@ -63,17 +77,24 @@ let test_evaluate_classifies_failures () =
     (function Zkopt_harness.Error.Accounting _ -> true | _ -> false);
   (* success path is untouched *)
   Alcotest.(check int) "plain cycles pass through" 42
-    (A.evaluate ~cycles:(fun _ -> 42) [ "dce" ])
+    (eval_with (fun ~fp:_ _ -> 42)).A.vfitness
 
-(* ---- blind GA: determinism and history shape -------------------------- *)
+(* ---- the GA over a synthetic objective: determinism, history --------- *)
 
-(* a pure, cheap synthetic objective: deterministic in the genome *)
-let synthetic_cycles (g : A.genome) = Hashtbl.hash g land 0xffff
+(* a cheap synthetic objective: deterministic in the optimized module *)
+let synthetic_search ?(jobs = 1) ~seed ~population ~iterations () : A.result =
+  let t =
+    { A.tname = "synthetic"; pname = "factorial"; weight = 1.0;
+      build = factorial_build;
+      measure = (fun ~fp _ -> Hashtbl.hash fp land 0xffff) }
+  in
+  Option.get
+    (A.search (A.default ~seed ~population ~iterations ~jobs ()) ~targets:[ t ])
+      .A.result
 
 let test_run_deterministic_across_jobs () =
   let go jobs =
-    A.run ~seed:11 ~population:8 ~iterations:48 ~jobs
-      ~cycles:synthetic_cycles ()
+    synthetic_search ~seed:11 ~population:8 ~iterations:48 ~jobs ()
   in
   let r1 = go 1 and r4 = go 4 in
   Alcotest.(check int) "same best fitness" r1.A.best.A.fitness
@@ -90,9 +111,7 @@ let qcheck_history_monotone =
     ~count:25
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let r =
-        A.run ~seed ~population:6 ~iterations:30 ~cycles:synthetic_cycles ()
-      in
+      let r = synthetic_search ~seed ~population:6 ~iterations:30 () in
       r.A.history <> []
       && fst
            (List.fold_left
@@ -213,10 +232,8 @@ let test_contrast_scores () =
 (* ---- the search engine over a real backend target --------------------- *)
 
 let factorial_target ?cache () =
-  let w = Workload.find "factorial" in
-  let build () = w.Workload.build Workload.Quick in
   let b = Zkopt_backend.Registry.find "risc0" in
-  A.backend_target ?cache ~program:"factorial" ~build b
+  A.backend_target ?cache ~program:"factorial" ~build:factorial_build b
 
 let run_search ?(jobs = 1) ?(iterations = 8) ?checkpoint ?(resume = false)
     ?(stop = fun () -> false) ?on_row () =
@@ -296,6 +313,32 @@ let test_search_checkpoint_resume () =
     (o2.A.resumed > 0);
   Alcotest.(check (list string)) "resumed rows = uninterrupted rows" ref_rows
     rows
+
+let test_search_rows_durable_before_stream () =
+  let ckpt = Rowfile.temp_path "zkopt-tune-durable" in
+  Fun.protect ~finally:(fun () -> Sys.remove ckpt) @@ fun () ->
+  let streamed = ref 0 and early = ref 0 in
+  ignore
+    (run_search ~checkpoint:ckpt
+       ~on_row:(fun r ->
+         incr streamed;
+         if not (Rowfile.durable ckpt r) then incr early)
+       ());
+  Alcotest.(check int) "every row streamed (2 x (4 A + 1 G))" 10 !streamed;
+  Alcotest.(check int) "no row streamed before it was on disk" 0 !early
+
+let test_search_fresh_starts_empty () =
+  let clean = Rowfile.temp_path "zkopt-tune-clean" in
+  let stale = Rowfile.temp_path "zkopt-tune-stale" in
+  Fun.protect ~finally:(fun () -> Sys.remove clean; Sys.remove stale)
+  @@ fun () ->
+  ignore (run_search ~checkpoint:clean ());
+  ignore (run_search ~iterations:4 ~checkpoint:stale ());
+  Out_channel.with_open_gen [ Open_append ] 0o644 stale (fun oc ->
+      output_string oc "A\t1\t0\tm");
+  ignore (run_search ~checkpoint:stale ~resume:false ());
+  Alcotest.(check string) "fresh log = log of a first run" (Rowfile.read clean)
+    (Rowfile.read stale)
 
 (* ---- tuned-profile persistence ---------------------------------------- *)
 
@@ -474,3 +517,9 @@ let tests =
         qcheck_frequent_matches_bruteforce;
         qcheck_maximal_sound;
       ]
+  @ [
+      Alcotest.test_case "search rows stream only once durable" `Quick
+        test_search_rows_durable_before_stream;
+      Alcotest.test_case "fresh search starts an empty log" `Quick
+        test_search_fresh_starts_empty;
+    ]

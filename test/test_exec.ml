@@ -251,6 +251,94 @@ let test_disk_cache_roundtrip () =
   Alcotest.(check int) "recompiled artifact still equal" (run a1).Measure.cycles
     (run a3).Measure.cycles
 
+(* ---- row logs --------------------------------------------------------- *)
+
+module Rowlog = Zkopt_exec.Rowlog
+
+(* A row is complete iff it ends in the terminal field "\t."; bodies are
+   lowercase letters, so no torn prefix of a row is complete. *)
+let frame body = body ^ "\t."
+
+let decode_row line =
+  let n = String.length line in
+  if n >= 2 && String.sub line (n - 2) 2 = "\t." then
+    Some (String.sub line 0 (n - 2))
+  else None
+
+(* The bytes of a log holding [header] (if any) and then [rows]. *)
+let log_bytes header rows =
+  String.concat ""
+    (List.map (fun l -> l ^ "\n") (Option.to_list header @ List.map frame rows))
+
+let prop_rowlog_shear =
+  let bodies n =
+    QCheck.(
+      list_of_size Gen.(int_range 0 n)
+        (string_gen_of_size Gen.(int_range 0 8) Gen.(char_range 'a' 'z')))
+  in
+  QCheck.Test.make
+    ~name:"rowlog: any shear, then load/open/append, keeps whole rows"
+    ~count:60
+    QCheck.(triple bool (bodies 6) (bodies 3))
+    (fun (with_header, rows, extra) ->
+      let header = if with_header then Some "hdr" else None in
+      let full = log_bytes header rows in
+      let path = Filename.temp_file "zkopt-rowlog" ".log" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      let append_extra log =
+        List.iter (fun r -> Rowlog.append log (frame r)) extra;
+        Rowlog.close log
+      in
+      List.for_all
+        (fun cut ->
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (String.sub full 0 cut));
+          (* the rows whose text, terminator included, survived the cut *)
+          let complete =
+            let rec go off = function
+              | r :: tl when off + String.length (frame r) <= cut ->
+                r :: go (off + String.length (frame r) + 1) tl
+              | _ -> []
+            in
+            go (String.length (log_bytes header [])) rows
+          in
+          let before = Rowlog.load decode_row path in
+          append_extra (Rowlog.create ?header ~fresh:false path);
+          let after = Rowlog.load decode_row path in
+          let bytes = Rowfile.read path in
+          (* a fresh log over the same file holds exactly the new rows *)
+          append_extra (Rowlog.create ?header ~fresh:true path);
+          before = complete
+          && after = complete @ extra
+          && (bytes = "" || bytes.[String.length bytes - 1] = '\n')
+          && Rowfile.read path = log_bytes header extra)
+        (List.init (String.length full + 1) Fun.id))
+
+let test_rowlog_concurrent_append () =
+  (* four domains append at once; some rows outgrow the channel buffer,
+     so an unserialized writer would interleave them *)
+  let path = Rowfile.temp_path "zkopt-rowlog-par" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let row d i =
+    Printf.sprintf "d%d-%d-%s" d i
+      (String.make (if i mod 25 = 0 then 70_000 else i) 'x')
+  in
+  let log = Rowlog.create ~header:"hdr" ~fresh:true path in
+  List.iter Domain.join
+    (List.init 4 (fun d ->
+         Domain.spawn (fun () ->
+             for i = 0 to 99 do
+               Rowlog.append log (row d i)
+             done)));
+  Rowlog.close log;
+  let expected = List.concat (List.init 4 (fun d -> List.init 100 (row d))) in
+  match Rowlog.load Option.some path with
+  | header :: rows ->
+    Alcotest.(check string) "header first" "hdr" header;
+    Alcotest.(check (list string)) "every row whole, each once"
+      (List.sort compare expected) (List.sort compare rows)
+  | [] -> Alcotest.fail "empty log"
+
 let tests =
   [
     Alcotest.test_case "pool runs each task exactly once" `Quick
@@ -271,3 +359,8 @@ let tests =
         prop_attr_digest_differs;
         prop_cache_hit_matches_fresh_compile;
       ]
+  @ [
+      Alcotest.test_case "rowlog concurrent appends stay whole lines" `Quick
+        test_rowlog_concurrent_append;
+      QCheck_alcotest.to_alcotest prop_rowlog_shear;
+    ]

@@ -296,6 +296,37 @@ let test_fault_end_to_end () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+let test_rows_durable_before_stream () =
+  let path = Rowfile.temp_path "zkopt_fuzzckpt_durable" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let streamed = Atomic.make 0 and early = Atomic.make 0 in
+  let on_row r =
+    Atomic.incr streamed;
+    if not (Rowfile.durable path (Campaign.encode_row r)) then Atomic.incr early
+  in
+  ignore
+    (Campaign.run
+       { (campaign_cfg ~checkpoint:path) with Campaign.on_row = Some on_row });
+  Alcotest.(check int) "every case streamed" 12 (Atomic.get streamed);
+  Alcotest.(check int) "no row streamed before it was on disk" 0
+    (Atomic.get early)
+
+let test_fresh_run_starts_empty () =
+  let clean = Rowfile.temp_path "zkopt_fuzzckpt_clean" in
+  let stale = Rowfile.temp_path "zkopt_fuzzckpt_stale" in
+  Fun.protect ~finally:(fun () -> Sys.remove clean; Sys.remove stale)
+  @@ fun () ->
+  let cfg path =
+    { (campaign_cfg ~checkpoint:path) with Campaign.jobs = 1; resume = false }
+  in
+  ignore (Campaign.run (cfg clean));
+  ignore (Campaign.run { (cfg stale) with Campaign.limit = Some 5 });
+  Out_channel.with_open_gen [ Open_append ] 0o644 stale (fun oc ->
+      output_string oc "seed:6\tO1\tagre");
+  ignore (Campaign.run (cfg stale));
+  Alcotest.(check string) "fresh checkpoint = checkpoint of a first run"
+    (Rowfile.read clean) (Rowfile.read stale)
+
 let property_tests =
   List.map QCheck_alcotest.to_alcotest [ prop_step_codec; prop_minimizer ]
 
@@ -309,3 +340,9 @@ let tests =
     Alcotest.test_case "injected miscompile end-to-end" `Quick test_fault_end_to_end;
   ]
   @ property_tests
+  @ [
+      Alcotest.test_case "rows stream only once durable" `Quick
+        test_rows_durable_before_stream;
+      Alcotest.test_case "fresh run starts an empty checkpoint" `Quick
+        test_fresh_run_starts_empty;
+    ]

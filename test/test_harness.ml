@@ -160,7 +160,7 @@ let test_kill_resume_determinism () =
   let uninterrupted = H.run (subset_cfg ()) in
   (* phase 1: measure only 3 of the 8 cells, then "die" *)
   let cfg = { (subset_cfg ()) with H.checkpoint = Some path } in
-  let partial = H.run { cfg with H.limit = Some 3; checkpoint_every = 1 } in
+  let partial = H.run { cfg with H.limit = Some 3 } in
   Alcotest.(check bool) "stopped early" false partial.H.completed;
   Alcotest.(check int) "3 cells done" 3 (Hashtbl.length partial.H.points);
   (* simulate a kill mid-write: a truncated trailing line must be ignored *)
@@ -390,7 +390,7 @@ let test_parallel_kill_resume () =
   Sys.remove path;
   let uninterrupted = H.run (subset_cfg ()) in
   let cfg = { (subset_cfg ()) with H.checkpoint = Some path; jobs = 3 } in
-  let partial = H.run { cfg with H.limit = Some 3; checkpoint_every = 1 } in
+  let partial = H.run { cfg with H.limit = Some 3 } in
   Alcotest.(check bool) "stopped early" false partial.H.completed;
   Alcotest.(check int) "3 cells done" 3 (Hashtbl.length partial.H.points);
   let resumed = H.run cfg in
@@ -401,6 +401,44 @@ let test_parallel_kill_resume () =
     (canonical uninterrupted.H.points)
     (canonical resumed.H.points);
   Sys.remove path
+
+(* ---- the checkpoint as a row log ------------------------------------ *)
+
+let test_rows_durable_before_stream () =
+  (* every streamed point is already a whole line of the checkpoint *)
+  let path = Rowfile.temp_path "zkopt_ckpt_durable" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let streamed = Atomic.make 0 and early = Atomic.make 0 in
+  let on_point p =
+    Atomic.incr streamed;
+    if not (Rowfile.durable path (Checkpoint.encode_point p)) then
+      Atomic.incr early
+  in
+  ignore
+    (H.run
+       { (subset_cfg ()) with
+         H.checkpoint = Some path; jobs = 2; on_point = Some on_point });
+  Alcotest.(check int) "every cell streamed" 8 (Atomic.get streamed);
+  Alcotest.(check int) "no point streamed before its row was on disk" 0
+    (Atomic.get early)
+
+let test_fresh_run_starts_empty () =
+  (* resume = false over a stale checkpoint leaves the same bytes as a
+     run with no file at all *)
+  let clean = Rowfile.temp_path "zkopt_ckpt_clean" in
+  let stale = Rowfile.temp_path "zkopt_ckpt_stale" in
+  Fun.protect ~finally:(fun () -> Sys.remove clean; Sys.remove stale)
+  @@ fun () ->
+  let cfg path =
+    { (subset_cfg ()) with H.checkpoint = Some path; resume = false }
+  in
+  ignore (H.run (cfg clean));
+  ignore (H.run { (cfg stale) with H.limit = Some 3 });
+  Out_channel.with_open_gen [ Open_append ] 0o644 stale (fun oc ->
+      output_string oc "factorial\tmisc\ttruncated-by-kill");
+  ignore (H.run (cfg stale));
+  Alcotest.(check string) "fresh checkpoint = checkpoint of a first run"
+    (Rowfile.read clean) (Rowfile.read stale)
 
 let tests =
   [
@@ -422,4 +460,8 @@ let tests =
       test_parallel_faults_exactly_once;
     Alcotest.test_case "parallel kill/resume determinism" `Quick
       test_parallel_kill_resume;
+    Alcotest.test_case "points stream only once durable" `Quick
+      test_rows_durable_before_stream;
+    Alcotest.test_case "fresh run starts an empty checkpoint" `Quick
+      test_fresh_run_starts_empty;
   ]

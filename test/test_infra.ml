@@ -66,11 +66,13 @@ let test_autotune_deterministic () =
   let w = Zkopt_workloads.Workload.find "factorial" in
   let build () = w.Zkopt_workloads.Workload.build Zkopt_workloads.Workload.Quick in
   let run () =
-    (Zkopt_autotune.Autotune.run ~seed:7 ~iterations:10
-       ~cycles:
-         (Zkopt_autotune.Autotune.zkvm_cycles ~build Zkopt_zkvm.Config.sp1)
-       ())
-      .Zkopt_autotune.Autotune.best
+    let module A = Zkopt_autotune.Autotune in
+    let target =
+      A.backend_target ~program:"factorial" ~build
+        (Zkopt_backend.Registry.find "sp1")
+    in
+    let o = A.search (A.default ~seed:7 ~iterations:10 ()) ~targets:[ target ] in
+    (Option.get o.A.result).A.best
   in
   let a = run () and b = run () in
   Alcotest.(check int) "same fitness" a.Zkopt_autotune.Autotune.fitness

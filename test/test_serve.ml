@@ -520,6 +520,64 @@ let test_restart_resumes_byte_identical () =
   Alcotest.(check int) "checkpoint holds every cell" (List.length ref_rows)
     (List.length ck_points)
 
+(* ---- the job registry across restarts ------------------------------- *)
+
+module Scheduler = Zkopt_serve.Scheduler
+
+let profile_job =
+  Job.Profile_cell
+    { program = "factorial"; profile = "baseline"; vm = "risc0"; quick = true }
+
+let scheduler dir = Scheduler.create ~dir ~jobs:1 ~cache_dir:None ~log:ignore ()
+
+let states sched : (string * string) list =
+  match Json.member "jobs" (Scheduler.status_json sched) with
+  | Some (Json.Arr jobs) ->
+    List.map
+      (fun j ->
+        ( Option.value ~default:"?" (Json.str_member "id" j),
+          Option.value ~default:"?" (Json.str_member "state" j) ))
+      jobs
+  | _ -> []
+
+let submit sched =
+  match Scheduler.submit sched ~client:"t" profile_job with
+  | Ok id -> id
+  | Error e -> Alcotest.failf "submit failed: %s" e
+
+(* Run the scheduler until every job it knows is terminal, then drain. *)
+let run_to_idle sched =
+  Scheduler.start sched;
+  wait_for (fun () ->
+      List.for_all (fun (_, st) -> st = "done") (states sched));
+  Scheduler.drain sched
+
+let test_registry_torn_tail () =
+  (* a kill shears the registry's last line (job-1's terminal record);
+     the restart re-runs job-1 and a new job is submitted before it
+     starts, so the first line written after the fragment is job-2's
+     submission *)
+  let dir = fresh_dir () in
+  let reg = Filename.concat dir Scheduler.reg_name in
+  let s1 = scheduler dir in
+  Alcotest.(check string) "first id" "job-1" (submit s1);
+  run_to_idle s1;
+  let text = Rowfile.read reg in
+  Out_channel.with_open_bin reg (fun oc ->
+      output_string oc (String.sub text 0 (String.length text - 4)));
+  let s2 = scheduler dir in
+  Alcotest.(check (list (pair string string))) "job-1 re-enqueued"
+    [ ("job-1", "queued") ] (states s2);
+  Alcotest.(check string) "next id after the torn tail" "job-2" (submit s2);
+  run_to_idle s2;
+  let s3 = scheduler dir in
+  Alcotest.(check (list (pair string string)))
+    "every job decodes, and the re-run job is terminal"
+    [ ("job-1", "done"); ("job-2", "done") ]
+    (states s3);
+  Alcotest.(check string) "no id is reused" "job-3" (submit s3);
+  Scheduler.drain s3
+
 let tests =
   [
     Alcotest.test_case "jobq blocking pop and close" `Quick
@@ -543,3 +601,7 @@ let tests =
         qcheck_event_roundtrip;
         qcheck_json_print_parse_fixpoint;
       ]
+  @ [
+      Alcotest.test_case "registry survives a torn tail across restarts"
+        `Quick test_registry_torn_tail;
+    ]

@@ -257,6 +257,32 @@ let test_price_real_measurements () =
         true (r1 = r2))
     (Registry.all ())
 
+let test_sweep_rows_durable_before_stream () =
+  let ckpt = Rowfile.temp_path "zkopt-settle-durable" in
+  Fun.protect ~finally:(fun () -> Sys.remove ckpt) @@ fun () ->
+  let streamed = ref 0 and early = ref 0 in
+  let cfg =
+    {
+      (Zkopt_settle.Ssweep.default ()) with
+      Zkopt_settle.Ssweep.programs = [ ("small", small_program) ];
+      profiles =
+        [
+          ("baseline", Profile.Baseline);
+          ("O1", Profile.Level Zkopt_passes.Catalog.O1);
+        ];
+      backends = [ Registry.find "risc0"; Registry.find "sp1" ];
+      checkpoint = Some ckpt;
+      on_row =
+        Some
+          (fun r ->
+            incr streamed;
+            if not (Rowfile.durable ckpt r) then incr early);
+    }
+  in
+  ignore (Zkopt_settle.Ssweep.run cfg);
+  Alcotest.(check int) "every row streamed" 4 !streamed;
+  Alcotest.(check int) "no row streamed before it was on disk" 0 !early
+
 let tests =
   [
     Alcotest.test_case "gas fixture (§1 breakdown, exact)" `Quick
@@ -276,4 +302,6 @@ let tests =
       test_sparams_prefix_fallback;
     Alcotest.test_case "pricing real measurements (all backends)" `Quick
       test_price_real_measurements;
+    Alcotest.test_case "sweep rows stream only once durable" `Quick
+      test_sweep_rows_durable_before_stream;
   ]
